@@ -1,40 +1,47 @@
-"""Compression substrate (§4.7 "open issues").
+"""File-recipe compression (§4.7 "open issues").
 
-The paper defers two storage-efficiency features to future work:
-"Compression also effectively reduces storage space of both data [58] and
-metadata (e.g., file recipes [41])."  This package implements both from
-scratch:
+The paper defers compression to future work: "Compression also effectively
+reduces storage space of both data [58] and metadata (e.g., file recipes
+[41])."  Every CDStore server compresses the file recipes it stores with
+stdlib zlib.  Shares are left alone: they are AONT output, close to
+uniformly random, and do not compress.  Recipes do, because they are runs
+of 36-byte entries whose fingerprints repeat within and across versions.
 
-* :mod:`repro.compress.lzss` — an LZSS dictionary coder (sliding window,
-  hash-chain match finder);
-* :mod:`repro.compress.huffman` — canonical Huffman entropy coding;
-* :mod:`repro.compress.codec` — the composed ``lzss+huffman`` pipeline
-  with a self-describing header, plus the recipe-compression helpers
-  (Meister et al. [41] style) the CDStore server uses when constructed
-  with ``recipe_compression=True``.
-
-Important interaction with deduplication: *share* payloads are encrypted
-(AONT output ≈ uniformly random) and do not compress, so CDStore applies
-compression to metadata (file recipes) — where fingerprint entries share
-long common prefixes across versions — and leaves shares untouched.
+Blob format: ``RCPZ`` magic | method byte | body.  The one method is 3,
+zlib at its default level; other method bytes, including 0-2 of an
+earlier in-repo coder, are rejected.
 """
 
-from repro.compress.codec import (
-    compress,
-    compress_recipe,
-    decompress,
-    decompress_recipe,
-)
-from repro.compress.huffman import huffman_decode, huffman_encode
-from repro.compress.lzss import lzss_compress, lzss_decompress
+from __future__ import annotations
 
-__all__ = [
-    "compress",
-    "compress_recipe",
-    "decompress",
-    "decompress_recipe",
-    "huffman_decode",
-    "huffman_encode",
-    "lzss_compress",
-    "lzss_decompress",
-]
+import zlib
+
+from repro.errors import IntegrityError
+
+__all__ = ["compress_recipe", "decompress_recipe"]
+
+_RECIPE_MAGIC = b"RCPZ"
+_METHOD_ZLIB = 3
+
+
+def compress_recipe(recipe_blob: bytes) -> bytes:
+    """Compress a packed file recipe into a self-describing blob."""
+    return _RECIPE_MAGIC + bytes([_METHOD_ZLIB]) + zlib.compress(recipe_blob)
+
+
+def decompress_recipe(blob: bytes) -> bytes:
+    """Invert :func:`compress_recipe`.
+
+    Raises :class:`~repro.errors.IntegrityError` for a blob that is not a
+    zlib recipe or whose body does not inflate.
+    """
+    header = len(_RECIPE_MAGIC) + 1
+    if not blob.startswith(_RECIPE_MAGIC) or len(blob) < header:
+        raise IntegrityError("recipe blob has no RCPZ header")
+    method = blob[header - 1]
+    if method != _METHOD_ZLIB:
+        raise IntegrityError(f"unknown recipe compression method {method}")
+    try:
+        return zlib.decompress(blob[header:])
+    except zlib.error as exc:
+        raise IntegrityError(f"corrupt recipe body: {exc}") from exc

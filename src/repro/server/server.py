@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import compress
 from repro.analysis.annotations import guarded_by, requires_lock
 from repro.cloud.provider import CloudProvider
 from repro.crypto.hashing import fingerprint
@@ -87,6 +88,23 @@ _RECOVERY_REPAIRS = REGISTRY.counter(
     "server_recovery_repairs_total",
     "Items repaired by boot-time recovery, by kind",
 )
+
+
+# The recipe container format.  The codec functions are looked up on
+# ``repro.compress`` per call, so a profiler can swap the module attributes
+# to time them (perfbench/ledger.py does).
+def _encode_recipe(entries: list[RecipeEntry]) -> bytes:
+    """Pack and compress a file recipe for its container entry."""
+    return compress.compress_recipe(b"".join(entry.pack() for entry in entries))
+
+
+def _decode_recipe(blob: bytes) -> list[RecipeEntry]:
+    """Invert :func:`_encode_recipe`."""
+    raw = compress.decompress_recipe(blob)
+    size = RecipeEntry.packed_size()
+    if len(raw) % size:
+        raise ProtocolError("recipe blob corrupt (bad length)")
+    return [RecipeEntry.unpack(raw[pos : pos + size]) for pos in range(0, len(raw), size)]
 
 
 def _locked(method):
@@ -162,7 +180,6 @@ class CDStoreServer:
         server_id: int,
         cloud: CloudProvider,
         index: IndexBackend | None = None,
-        recipe_compression: bool = True,
         durable_root: str | Path | None = None,
         tenants: TenantRegistry | None = None,
     ) -> None:
@@ -170,7 +187,6 @@ class CDStoreServer:
         self.cloud = cloud
         self.index = index if index is not None else DictIndex()
         self.stats = DedupStats()
-        self.recipe_compression = recipe_compression
         self.tenants = tenants
         self.durable = durable_root is not None
         #: Serialises all index/container mutations on this server.  The
@@ -507,13 +523,8 @@ class CDStoreServer:
             )
         for server_fp, share_entry in share_entries.items():
             self._put_share_entry(server_fp, share_entry)
-        recipe_blob = b"".join(entry.pack() for entry in entries)
-        if self.recipe_compression:
-            from repro.compress import compress_recipe
-
-            recipe_blob = compress_recipe(recipe_blob)
         recipe_ref = self.containers.append(
-            user_id, KIND_RECIPE, manifest.lookup_key, recipe_blob
+            user_id, KIND_RECIPE, manifest.lookup_key, _encode_recipe(entries)
         )
         file_entry = FileEntry(
             recipe_ref=recipe_ref,
@@ -618,16 +629,7 @@ class CDStoreServer:
     ) -> list[RecipeEntry]:
         """Read and decode the recipe a file entry points at."""
         _, blob = self.containers.read_entry(entry.recipe_ref, bypass_cache=bypass_cache)
-        from repro.compress import decompress_recipe
-
-        blob = decompress_recipe(blob)
-        size = RecipeEntry.packed_size()
-        if len(blob) % size:
-            raise ProtocolError("recipe blob corrupt (bad length)")
-        return [
-            RecipeEntry.unpack(blob[pos : pos + size])
-            for pos in range(0, len(blob), size)
-        ]
+        return _decode_recipe(blob)
 
     def fetch_shares(
         self, fingerprints: list[bytes], owner: str | None = None
@@ -776,13 +778,8 @@ class CDStoreServer:
         """Rewrite a file's recipe (scrub-repair of a corrupt recipe
         container); the file-index entry is preserved apart from the ref."""
         file_entry = self.get_file_entry(user_id, lookup_key)
-        blob = b"".join(entry.pack() for entry in entries)
-        if self.recipe_compression:
-            from repro.compress import compress_recipe
-
-            blob = compress_recipe(blob)
         file_entry.recipe_ref = self.containers.append(
-            user_id, KIND_RECIPE, lookup_key, blob
+            user_id, KIND_RECIPE, lookup_key, _encode_recipe(entries)
         )
         self.index.put(self._file_key(user_id, lookup_key), file_entry.pack())
         self._commit_durable()

@@ -88,26 +88,24 @@ class TestDeserialisationFuzz:
         with tempfile.TemporaryDirectory() as dest:
             _fuzz(lambda b: unpack_tree(b, dest), blob)
 
-    @settings(max_examples=60)
-    @given(st.binary(max_size=300))
-    def test_lzss_decompress(self, blob):
-        from repro.compress.lzss import lzss_decompress
+    @settings(max_examples=80)
+    @given(
+        st.one_of(st.just(3), st.integers(0, 255)),
+        st.one_of(
+            st.binary(max_size=300),
+            # A valid zlib header, so the body reaches the deflate decoder.
+            st.binary(max_size=300).map(lambda b: b"\x78\x9c" + b),
+        ),
+    )
+    def test_decompress_recipe(self, method, body):
+        from repro.compress import decompress_recipe
 
-        _fuzz(lzss_decompress, blob)
-
-    @settings(max_examples=60)
-    @given(st.binary(max_size=300))
-    def test_huffman_decode(self, blob):
-        from repro.compress.huffman import huffman_decode
-
-        _fuzz(huffman_decode, blob)
-
-    @settings(max_examples=60)
-    @given(st.binary(max_size=300))
-    def test_composed_decompress(self, blob):
-        from repro.compress.codec import decompress
-
-        _fuzz(decompress, blob)
+        # Accept only ReproError: any other exception, zlib.error included,
+        # fails the test.
+        try:
+            decompress_recipe(b"RCPZ" + bytes([method]) + body)
+        except ReproError:
+            pass
 
 
 class TestMutationFuzz:
