@@ -3,6 +3,8 @@
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.compress
 from repro.cloud.network import Link
@@ -41,6 +43,14 @@ def _server_with_file(entries: int = 200) -> CDStoreServer:
     )
     server.flush()
     return server
+
+
+class TestComposedCodec:
+    @settings(max_examples=30)
+    @given(st.binary(min_size=0, max_size=1500))
+    def test_roundtrip(self, data):
+        """The framed zlib codec inverts itself on any bytes, not just recipes."""
+        assert decompress_recipe(compress_recipe(data)) == data
 
 
 class TestRecipeCompression:

@@ -88,6 +88,13 @@ class TestDeserialisationFuzz:
         with tempfile.TemporaryDirectory() as dest:
             _fuzz(lambda b: unpack_tree(b, dest), blob)
 
+    @settings(max_examples=60)
+    @given(st.binary(max_size=300))
+    def test_composed_decompress(self, blob):
+        from repro.compress import decompress_recipe
+
+        _fuzz(decompress_recipe, blob)
+
     @settings(max_examples=80)
     @given(
         st.one_of(st.just(3), st.integers(0, 255)),
