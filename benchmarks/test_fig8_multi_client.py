@@ -210,20 +210,20 @@ def _run_clients(workers) -> float:
     return elapsed
 
 
-def _serial_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
-    """Thread-per-connection server, one serial (v1) connection per client,
-    one round-trip per batch — the pre-mux deployment shape."""
+def _lockstep_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
+    """Thread-per-connection server, one connection per client, synchronous
+    uploads with one request in flight — a round-trip per batch."""
     server = CDStoreServer(
         server_id=0, cloud=CloudProvider("cloud-0", Link(1000.0), Link(1000.0))
     )
     all_batches = [
-        _client_batches("serial", i, per_client_bytes) for i in range(clients)
+        _client_batches("lockstep", i, per_client_bytes) for i in range(clients)
     ]
     total = sum(u.wire_size for bs in all_batches for b in bs for u in b)
     with CDStoreTCPServer(server) as tcp:
         host, port = tcp.address
         proxies = [
-            RemoteServerProxy(f"tcp://{host}:{port}", server_id=0, mux=False)
+            RemoteServerProxy(f"tcp://{host}:{port}", server_id=0)
             for _ in range(clients)
         ]
         try:
@@ -295,8 +295,8 @@ def _mux_aggregate_mbps(clients: int, per_client_bytes: int) -> float:
 def _modeled_mux_speedup(window: int = UPLOAD_ACK_WINDOW) -> float:
     """Per-stream speedup the mux ack window buys a dedup-heavy backup.
 
-    The quantity the mux protocol changes is round trips: a serial (v1)
-    connection pays one link round trip per RPC, lock-step, while a mux
+    The quantity the mux window changes is round trips: a lock-step
+    client pays one link round trip per RPC, while a mux
     connection keeps ``window`` requests in flight so only every
     ``window``-th round trip lands on the critical path.  On a
     dedup-heavy (second-backup) upload the wire carries metadata, not
@@ -326,8 +326,9 @@ def _modeled_mux_speedup(window: int = UPLOAD_ACK_WINDOW) -> float:
 def test_fig8_mux_scaling_curve():
     """Aggregate RPC-level upload throughput, 1 -> 64 concurrent clients.
 
-    Serial leg: the thread-per-connection server with one v1 connection
-    per client, lock-step round trips (64 clients = 64 server threads).
+    Lock-step leg: the thread-per-connection server with one connection
+    per client and one request in flight on it (64 clients = 64 server
+    threads).
     Mux leg: the asyncio front-end with clients multiplexed over
     ``clients/16`` shared connections, each keeping a pipelined ack
     window in flight (8 executor threads total, per-source admission
@@ -343,8 +344,8 @@ def test_fig8_mux_scaling_curve():
       both legs saturate the same serialized storage stack, so parity at
       1/8th the threads is the scaling result;
     * the **gated ratio** (``fig8.mux_over_serial``) is the modeled
-      per-stream speedup of the pipelined-window protocol over lock-step
-      v1 on the cloud testbed, where the 25 ms per-RPC round trip the mux
+      per-stream speedup of the pipelined window over lock-step round
+      trips on the cloud testbed, where the 25 ms per-RPC round trip the mux
       window amortises is the dominant cost of dedup-heavy uploads.  The
       acceptance bar is >= 2x.
     """
@@ -353,14 +354,14 @@ def test_fig8_mux_scaling_curve():
     rows = []
     ratios = {}
     for clients in counts:
-        serial = _serial_aggregate_mbps(clients, per_client_bytes)
+        lockstep = _lockstep_aggregate_mbps(clients, per_client_bytes)
         mux = _mux_aggregate_mbps(clients, per_client_bytes)
-        ratios[clients] = mux / serial
-        rows.append([clients, serial, mux, mux / serial])
+        ratios[clients] = mux / lockstep
+        rows.append([clients, lockstep, mux, mux / lockstep])
 
     modeled = _modeled_mux_speedup()
     table = format_table(
-        ["clients", "serial MB/s", "mux MB/s", "mux/serial"],
+        ["clients", "lock-step MB/s", "mux MB/s", "mux/lock-step"],
         rows,
         title="Figure 8 (mux leg): measured loopback aggregate upload MB/s "
               f"vs #clients, {per_client_bytes / MB:.2f} MB/client "
@@ -370,7 +371,7 @@ def test_fig8_mux_scaling_curve():
     emit_metrics({"fig8.mux_over_serial": modeled})
 
     # Acceptance gate: the mux window must at least double dedup-heavy
-    # upload throughput over the lock-step serial protocol.
+    # upload throughput over lock-step round trips.
     assert modeled >= 2.0, f"modeled mux/serial = {modeled:.2f}"
     # Measured sanity: every point on the curve moved real bytes, and the
     # 64-client mux leg holds aggregate parity (within scheduler noise)

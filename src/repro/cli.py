@@ -588,12 +588,7 @@ def build_gateway(
     elif (root / TENANTS_FILE_NAME).exists():
         registry = TenantRegistry.from_file(root / TENANTS_FILE_NAME)
     replicas = [
-        RemoteServerProxy(
-            str(spec),
-            server_id=index,
-            credentials=credentials,
-            mux=config.mux,
-        )
+        RemoteServerProxy(str(spec), server_id=index, credentials=credentials)
         for index, spec in replica_specs
     ]
     service = GatewayService(

@@ -118,8 +118,8 @@ __all__ = [
 UPLOAD_BATCH_BYTES = 4 << 20
 
 #: Unacked upload batches a :class:`CloudUploader` keeps in flight when
-#: its server supports pipelined acks (``upload_shares_async``, the mux
-#: proxy).  Bounds client memory to this many serialized batches while
+#: its server supports pipelined acks (``upload_shares_async``, the
+#: remote proxy).  Bounds client memory to this many serialized batches while
 #: removing the round-trip stall between consecutive batches.
 UPLOAD_ACK_WINDOW = 4
 
@@ -248,9 +248,9 @@ class CloudUploader:
         # buffer holds *unique* shares and is uploaded only when full).
         self._batch: list[ShareUpload] = []
         self._batch_bytes = 0
-        # Pipelined-ack capability: the mux proxy exposes
-        # upload_shares_async; in-process servers and serial proxies do
-        # not, and keep the one-round-trip-per-batch path.
+        # Pipelined-ack capability: the remote proxy exposes
+        # upload_shares_async; in-process servers do not, and keep the
+        # one-call-per-batch path.
         self._upload_async = getattr(server, "upload_shares_async", None)
         self._inflight: deque = deque()
 

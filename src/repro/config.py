@@ -224,7 +224,8 @@ class ObsSpec:
 
     #: Master switch: ``False`` disables metric recording and tracing.
     enabled: bool = True
-    #: Offer/accept the wire v2 trace extension and record spans.
+    #: Propagate trace ids in request trailers and record spans (off:
+    #: proxies send the all-zero context and front-ends ignore it).
     trace: bool = True
     #: Spans at or above this many seconds emit a structured
     #: ``slow_request`` event; ``None``/``0`` disables the log.
@@ -304,11 +305,6 @@ class ReproConfig:
     threads: int = 1
     workers: str = "thread"
     pipeline_depth: int | str = 1
-    #: Multiplex remote-cloud connections: advertise wire v2 so one
-    #: socket per cloud carries concurrent request windows (falls back to
-    #: serial framing against v1 servers).  ``False`` pins every proxy to
-    #: the one-request-in-flight v1 protocol.
-    mux: bool = True
     #: Optional read gateway (:class:`GatewaySpec` or its mapping form);
     #: ``None`` means clients restore directly from the cloud quorum.
     gateway: GatewaySpec | None = None
@@ -351,8 +347,6 @@ class ReproConfig:
                 f"pipeline_depth must be a positive integer or 'auto', "
                 f"got {self.pipeline_depth!r}"
             )
-        if not isinstance(self.mux, bool):
-            raise ParameterError(f"mux must be a boolean, got {self.mux!r}")
         if self.gateway is not None and not isinstance(self.gateway, GatewaySpec):
             object.__setattr__(
                 self, "gateway", GatewaySpec.from_mapping(self.gateway)
@@ -380,10 +374,11 @@ class ReproConfig:
     def from_mapping(cls, raw: dict) -> "ReproConfig":
         """Build from a parsed ``cdstore.json`` dict.
 
-        Accepts both the current schema and pre-config-object files
-        (which lack ``scheme``/``threads``/… keys) — the compatibility
-        shim that lets deployments initialised by earlier releases keep
-        working unchanged.
+        Accepts both the current schema and older files — the
+        compatibility shim that lets deployments initialised by earlier
+        releases keep working unchanged.  Pre-config-object files lack
+        ``scheme``/``threads``/… keys; files from before the serial wire
+        protocol was removed carry ``"mux": true``, which is dropped.
         """
         if not isinstance(raw, dict):
             raise ParameterError(
@@ -391,8 +386,15 @@ class ReproConfig:
             )
         known = {
             "n", "k", "salt", "chunker", "cloud_specs", "scheme",
-            "threads", "workers", "pipeline_depth", "mux", "gateway", "obs",
+            "threads", "workers", "pipeline_depth", "gateway", "obs",
         }
+        if "mux" in raw:
+            if raw["mux"] is not True:
+                raise ParameterError(
+                    f"mux={raw['mux']!r} is not supported: the serial (v1) wire "
+                    "protocol was removed; delete the key"
+                )
+            raw = {key: value for key, value in raw.items() if key != "mux"}
         unknown = set(raw) - known
         if unknown:
             raise ParameterError(
@@ -418,7 +420,6 @@ class ReproConfig:
             "threads": self.threads,
             "workers": self.workers,
             "pipeline_depth": self.pipeline_depth,
-            "mux": self.mux,
             "gateway": (
                 self.gateway.to_mapping() if self.gateway is not None else None
             ),

@@ -22,17 +22,14 @@ Connection discipline:
   re-raises the server's exception class locally and leaves the
   connection usable (the server answered; nothing is desynchronised).
 
-Mux mode (default): the proxy advertises wire version 2 in the PING
-handshake.  Against a v2 server the connection switches to
-request-id-tagged framing and the proxy becomes **fully concurrent**:
-many threads share the one socket, each request gets a fresh correlation
-id, a dedicated reader thread routes reply frames to per-request queues,
-and streaming fetches interleave freely with other requests.  Pipelined
-uploads (:meth:`RemoteServerProxy.upload_shares_async`) return an ack
-handle instead of blocking a round-trip per batch — this is what lets a
-comm-engine streaming window keep the socket full.  Against a v1-only
-server (or with ``mux=False``) the proxy degrades to the original serial
-one-request-in-flight discipline, byte-identical on the wire.
+Every connection speaks the request-id framing from its first byte, so
+the proxy is **fully concurrent**: many threads share the one socket,
+each request gets a fresh correlation id, a dedicated reader thread
+routes reply frames to per-request queues, and streaming fetches
+interleave freely with other requests.  Pipelined uploads
+(:meth:`RemoteServerProxy.upload_shares_async`) return an ack handle
+instead of blocking a round-trip per batch — this is what lets a
+comm-engine streaming window keep the socket full.
 
 When the connection drops — transport error, reconnect, or explicit
 :meth:`close` — **every in-flight request fails fast** with
@@ -66,7 +63,7 @@ from repro.errors import (
 )
 from repro.net import wire
 from repro.net.server import recv_exact
-from repro.obs.trace import current_context
+from repro.obs.trace import ZERO_TRACE_ID, current_context
 from repro.server.index import FileEntry
 from repro.server.messages import FileManifest, RecipeEntry, ShareMeta, ShareUpload
 from repro.tenants import Credentials, auth_proof
@@ -112,7 +109,7 @@ class RemoteCloud:
 
 
 class _PendingReply:
-    """Reply mailbox for one in-flight mux request.
+    """Reply mailbox for one in-flight request.
 
     The reader thread pushes ``(frame_type, payload)`` tuples (several,
     for a streamed fetch) or an exception instance when the connection
@@ -142,16 +139,7 @@ class _PendingReply:
         return item
 
 
-class _CompletedAck:
-    """Ack handle for the serial path: the upload already happened."""
-
-    __slots__ = ()
-
-    def result(self) -> None:
-        return None
-
-
-class _MuxAck:
+class _UploadAck:
     """Ack handle for one pipelined ``upload_shares_async`` request."""
 
     __slots__ = ("_proxy", "_handle", "_outcome")
@@ -198,29 +186,21 @@ class RemoteServerProxy:
         (re)connect runs the challenge-response handshake right after the
         PING — so a dropped-and-redialled connection is re-authenticated
         before the request that triggered the reconnect is sent.
-    mux:
-        Advertise wire version 2 and multiplex requests over the shared
-        socket when the server agrees (see the module docstring).
-        ``False`` pins the proxy to the serial v1 framing.
     trace:
-        Offer the v2 trace extension in the PING handshake.  When the
-        server accepts, every non-control request frame carries a
-        fixed-size trace trailer (the calling thread's context, or
-        zeroes when untraced) — see ``docs/PROTOCOL.md`` §3.1.  Ignored
-        on serial (v1) connections, which never negotiate it.
+        Put the calling thread's trace context in the fixed-size trailer
+        every non-control request frame carries (``docs/PROTOCOL.md``
+        §3.1.1).  ``False`` sends the all-zero context.
     """
 
     #: Lock discipline (``repro analyze``, LOCK-001): connection identity
-    #: (the socket, the handshake-learned server id, the negotiated wire
-    #: version) and the in-flight request tables are only touched under
+    #: (the socket, the handshake-learned server id) and the in-flight
+    #: request tables are only touched under
     #: ``_lock`` — the comm engine drives one proxy from several threads,
     #: the reader thread routes replies concurrently, and reconnects must
     #: never interleave with either.
     GUARDED_BY = guarded_by(
         _sock="_lock",
         _server_id="_lock",
-        _version="_lock",
-        _trace="_lock",
         _pending="_lock",
         _discard="_lock",
         _next_id="_lock",
@@ -235,7 +215,6 @@ class RemoteServerProxy:
         timeout: float = 30.0,
         max_frame: int = wire.MAX_FRAME_BYTES,
         credentials: Credentials | None = None,
-        mux: bool = True,
         trace: bool = True,
     ) -> None:
         if isinstance(address, str):
@@ -246,30 +225,20 @@ class RemoteServerProxy:
         self.timeout = timeout
         self.max_frame = max_frame
         self.credentials = credentials
-        self.mux = bool(mux)
-        #: Version advertised in T_PING: mux proxies offer v2, pinned
-        #: proxies offer v1 so the server never upgrades the framing.
-        self._advertise = wire.WIRE_VERSION if self.mux else 1
-        #: Whether to *offer* the trace extension (only meaningful on a
-        #: mux handshake — v1 framing has no room for the trailer).
-        self.trace_enabled = bool(trace) and self.mux
+        #: Whether request trailers carry the caller's trace context.
+        self.trace_enabled = bool(trace)
         #: Role granted by the last successful auth handshake (None when
         #: unauthenticated / running against an open server).
         self.role: str | None = None
         self._sock: socket.socket | None = None
         self._lock = threading.RLock()
-        #: Negotiated framing for the current connection (1 until the
-        #: PONG of a mux handshake says otherwise).
-        self._version = 1
-        #: Whether the current connection negotiated the trace extension
-        #: (the PONG echoed :data:`~repro.net.wire.FLAG_TRACE`).
-        self._trace = False
-        #: In-flight mux requests by correlation id.
+        #: In-flight requests by correlation id.
         self._pending: dict[int, _PendingReply] = {}
         #: Abandoned stream ids whose late frames must be swallowed.
         self._discard: set[int] = set()
+        #: Next correlation id; ids start at 1 (0 is connection-level).
         self._next_id = 1
-        #: Serialises mux sends so concurrent frames never interleave.
+        #: Serialises sends so concurrent frames never interleave.
         self._send_lock = threading.Lock()
         self._reader: threading.Thread | None = None
         self.cloud = RemoteCloud(
@@ -314,8 +283,6 @@ class RemoteServerProxy:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
-        self._version = 1
-        self._trace = False
         self._discard.clear()
         pending, self._pending = self._pending, {}
         if pending:
@@ -349,11 +316,8 @@ class RemoteServerProxy:
                 f"cannot configure socket for {self.address_spec}: {exc}"
             ) from exc
         self._sock = sock
-        offered = wire.FLAG_TRACE if self.trace_enabled else 0
         try:
-            frame_type, payload = self._roundtrip(
-                wire.T_PING, wire.encode_ping(self._advertise, offered)
-            )
+            self._handshake()
         except (ConnectionError, socket.timeout, OSError) as exc:
             # A server that accepts then dies before answering the
             # handshake is an outage, not a crash: map it into the same
@@ -363,111 +327,73 @@ class RemoteServerProxy:
                 f"handshake with {self.address_spec} failed: {exc}"
             ) from exc
         except BaseException:
+            # Typed answers (a refused version, an AuthError, the async
+            # front-end's connection-cap shed) leave a socket that is in
+            # sync but useless: never cache it half-set-up.
             self._drop()
             raise
-        if frame_type == wire.R_ERROR:
-            # e.g. the server shed the connection at its connection cap.
-            self._drop()
-            raise wire.decode_error(payload)
-        if frame_type != wire.R_PONG:
-            self._drop()
+        # Handshake + auth ran with direct reads; from here the reader
+        # thread owns the receive side of the socket.
+        self._reader = threading.Thread(
+            target=self._reader_loop,
+            args=(self._sock,),
+            name=f"cdstore-mux-reader-{self.host}:{self.port}",
+            daemon=True,
+        )
+        self._reader.start()
+        return self._sock
+
+    @requires_lock("_lock")
+    def _handshake(self) -> None:
+        """PING/PONG, then the T_AUTH / T_AUTH_PROOF exchange if credentialed.
+
+        An :class:`~repro.errors.AuthError` from the server propagates
+        as-is: bad credentials are not an outage — failover would just
+        fail identically elsewhere.
+        """
+        frame_type, payload = self._roundtrip(wire.T_PING, wire.encode_ping())
+        self._expect(frame_type, payload, wire.R_PONG, "PING")
+        version, server_id = wire.decode_pong(payload)
+        if version != wire.WIRE_VERSION:
             raise ProtocolError(
-                f"{self.address_spec} answered PING with frame "
-                f"0x{frame_type:02x}"
-            )
-        version, server_id, accepted = wire.decode_pong(payload)
-        if not 1 <= version <= self._advertise:
-            self._drop()
-            raise ProtocolError(
-                f"{self.address_spec} negotiated unsupported wire version "
-                f"{version} (client offered {self._advertise})"
+                f"{self.address_spec} speaks wire version {version}; this "
+                f"client speaks only version {wire.WIRE_VERSION}"
             )
         if self._server_id is not None and server_id != self._server_id:
-            self._drop()
             raise ProtocolError(
                 f"{self.address_spec} claims server id {server_id}, "
                 f"expected {self._server_id}"
             )
         self._server_id = server_id
-        # Both sides switch framing on the PONG boundary (wire.py): every
-        # frame after this point — including the auth exchange — uses the
-        # negotiated framing.  Same boundary for the trace extension: the
-        # server only echoes FLAG_TRACE when it will strip trailers.
-        self._version = version
-        self._trace = (
-            version >= 2 and bool(accepted & offered & wire.FLAG_TRACE)
-        )
-        if self.credentials is not None:
-            self._authenticate()
-        if self._version >= 2:
-            # Handshake + auth ran with direct serial reads; from here the
-            # reader thread owns the receive side of the socket.
-            self._reader = threading.Thread(
-                target=self._reader_loop,
-                args=(self._sock,),
-                name=f"cdstore-mux-reader-{self.host}:{self.port}",
-                daemon=True,
-            )
-            self._reader.start()
-        return self._sock
-
-    @requires_lock("_lock")
-    def _authenticate(self) -> None:
-        """Run the T_AUTH / T_AUTH_PROOF handshake on a fresh connection.
-
-        An :class:`~repro.errors.AuthError` from the server propagates
-        as-is (bad credentials are not an outage — failover would just
-        fail identically elsewhere); transport failures map to
-        :class:`~repro.errors.CloudUnavailableError` like any other.
-        """
         creds = self.credentials
-        assert creds is not None
+        if creds is None:
+            return
         client_nonce = os.urandom(wire.AUTH_NONCE_SIZE)
-        try:
-            frame_type, payload = self._roundtrip(
-                wire.T_AUTH, wire.encode_auth(creds.tenant_id, client_nonce)
+        frame_type, payload = self._roundtrip(
+            wire.T_AUTH, wire.encode_auth(creds.tenant_id, client_nonce)
+        )
+        self._expect(frame_type, payload, wire.R_AUTH_CHALLENGE, "AUTH")
+        server_nonce = wire.decode_auth_challenge(payload)
+        proof = auth_proof(creds.secret, creds.tenant_id, client_nonce, server_nonce)
+        frame_type, payload = self._roundtrip(
+            wire.T_AUTH_PROOF, wire.encode_auth_proof(proof)
+        )
+        self._expect(frame_type, payload, wire.R_AUTH_OK, "AUTH_PROOF")
+        self.role = wire.decode_auth_ok(payload)
+
+    def _expect(self, frame_type: int, payload: bytes, wanted: int, asked: str) -> None:
+        """Raise the typed error an R_ERROR carries, or reject a wrong frame."""
+        if frame_type == wire.R_ERROR:
+            raise wire.decode_error(payload)
+        if frame_type != wanted:
+            raise ProtocolError(
+                f"{self.address_spec} answered {asked} with frame 0x{frame_type:02x}"
             )
-            if frame_type == wire.R_ERROR:
-                raise wire.decode_error(payload)
-            if frame_type != wire.R_AUTH_CHALLENGE:
-                raise ProtocolError(
-                    f"{self.address_spec} answered AUTH with frame "
-                    f"0x{frame_type:02x}"
-                )
-            server_nonce = wire.decode_auth_challenge(payload)
-            proof = auth_proof(
-                creds.secret, creds.tenant_id, client_nonce, server_nonce
-            )
-            frame_type, payload = self._roundtrip(
-                wire.T_AUTH_PROOF, wire.encode_auth_proof(proof)
-            )
-            if frame_type == wire.R_ERROR:
-                raise wire.decode_error(payload)
-            if frame_type != wire.R_AUTH_OK:
-                raise ProtocolError(
-                    f"{self.address_spec} answered AUTH_PROOF with frame "
-                    f"0x{frame_type:02x}"
-                )
-            self.role = wire.decode_auth_ok(payload)
-        except (ConnectionError, socket.timeout, OSError) as exc:
-            self._drop()
-            raise CloudUnavailableError(
-                f"auth handshake with {self.address_spec} failed: {exc}"
-            ) from exc
-        except AuthError:
-            # The server answered; the connection is in sync but useless
-            # without credentials it accepts — drop it so the proxy does
-            # not cache a half-authenticated socket.
-            self._drop()
-            raise
-        except BaseException:
-            self._drop()
-            raise
 
     def close(self) -> None:
         """Drop the connection (the next call reconnects) — idempotent.
 
-        In-flight mux requests fail fast with
+        In-flight requests fail fast with
         :class:`~repro.errors.CloudUnavailableError`.
         """
         with self._lock:
@@ -481,75 +407,53 @@ class RemoteServerProxy:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "connected" if self._sock is not None else "idle"
-        mode = f"v{self._version}" if self._sock is not None else "mux" if self.mux else "serial"
-        return f"RemoteServerProxy({self.address_spec!r}, {state}, {mode})"
+        return f"RemoteServerProxy({self.address_spec!r}, {state})"
 
     # ------------------------------------------------------------------
-    # serial request plumbing (v1 connections + the handshake phase)
+    # request plumbing
     # ------------------------------------------------------------------
     @requires_lock("_lock")
     def _roundtrip(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
-        """Send one request frame, read one reply frame (lock held).
+        """Send one control frame and read its reply directly (lock held).
 
-        Only legal while the connection is served serially: v1 framing,
-        or the v2 handshake phase before the reader thread starts.  On a
-        v2 connection each exchange burns a fresh correlation id and
-        checks the echo.
+        Only legal during the handshake, before the reader thread owns
+        the socket.  A connection-level :data:`~repro.net.wire.R_ERROR`
+        (request id 0, e.g. the async front-end's connection-cap shed)
+        answers the handshake too.
         """
         sock = self._sock
         assert sock is not None
-        payload = self._wrap_trace(frame_type, payload)
-        if self._version >= 2:
-            request_id = self._alloc_id()
-            sock.sendall(
-                wire.encode_mux_frame(frame_type, request_id, payload, self.max_frame)
-            )
-            reply_type, reply_id, reply = self._read_reply_mux(sock)
-            if reply_id != request_id:
-                raise ProtocolError(
-                    f"{self.address_spec} answered handshake frame with "
-                    f"correlation id {reply_id}, expected {request_id}"
-                )
-            return reply_type, reply
-        sock.sendall(wire.encode_frame(frame_type, payload, self.max_frame))
-        return self._read_reply(sock)
-
-    def _read_reply(self, sock: socket.socket) -> tuple[int, bytes]:
-        frame_type, payload = wire.read_frame(
+        request_id = self._alloc_id()
+        sock.sendall(wire.encode_frame(frame_type, request_id, payload, self.max_frame))
+        reply_type, reply_id, reply = wire.read_frame(
             lambda n: recv_exact(sock, n), self.max_frame
         )
+        self._note_frame(reply)
+        if reply_id != request_id and not (reply_id == 0 and reply_type == wire.R_ERROR):
+            raise ProtocolError(
+                f"{self.address_spec} answered handshake frame with "
+                f"correlation id {reply_id}, expected {request_id}"
+            )
+        return reply_type, reply
+
+    def _note_frame(self, payload: bytes) -> None:
         self.frames_received += 1
         self.max_reply_frame_bytes = max(
             self.max_reply_frame_bytes, wire.FRAME_HEADER.size + len(payload)
         )
-        return frame_type, payload
 
-    def _read_reply_mux(self, sock: socket.socket) -> tuple[int, int, bytes]:
-        frame_type, request_id, payload = wire.read_frame_mux(
-            lambda n: recv_exact(sock, n), self.max_frame
-        )
-        self.frames_received += 1
-        self.max_reply_frame_bytes = max(
-            self.max_reply_frame_bytes, wire.MUX_FRAME_HEADER.size + len(payload)
-        )
-        return frame_type, request_id, payload
-
-    # ------------------------------------------------------------------
-    # mux request plumbing
-    # ------------------------------------------------------------------
-    @requires_lock("_lock")
     def _wrap_trace(self, frame_type: int, payload: bytes) -> bytes:
-        """Append the trace trailer when negotiated (control frames exempt).
+        """Append the trace trailer (control frames carry none).
 
-        The trailer is fixed-size and carried on *every* non-control
-        request frame once the extension is on — an untraced thread
-        sends the all-zero context rather than switching formats
-        per-request (``wire.split_trace_context`` on the server side
-        then needs no out-of-band length signal).
+        The trailer is fixed-size and on *every* non-control request
+        frame — an untraced thread (or a ``trace=False`` proxy) sends the
+        all-zero context rather than switching formats per request, so
+        ``wire.split_trace_context`` on the server side needs no
+        out-of-band length signal.
         """
-        if not self._trace or frame_type in wire.CONTROL_FRAMES:
+        if frame_type in wire.CONTROL_FRAMES:
             return payload
-        trace_id, span_id = current_context()
+        trace_id, span_id = current_context() if self.trace_enabled else (ZERO_TRACE_ID, 0)
         return payload + wire.encode_trace_context(trace_id, span_id)
 
     @requires_lock("_lock")
@@ -561,25 +465,21 @@ class RemoteServerProxy:
         self._next_id = rid % wire.REQUEST_ID_MAX + 1
         return rid
 
-    def _submit(self, frame_type: int, payload: bytes) -> _PendingReply | None:
-        """Register + send one mux request; ``None`` means use the serial path.
+    def _submit(self, frame_type: int, payload: bytes) -> _PendingReply:
+        """Register + send one request; returns its reply mailbox.
 
         The connection lock covers connect/registration only — the send
         happens under the dedicated send lock so a slow ``sendall`` never
         blocks the reader thread's reply routing, and waiting for the
         reply holds no lock at all.
         """
+        payload = self._wrap_trace(frame_type, payload)
         with self._lock:
             self._ensure_connected()
-            if self._version < 2:
-                return None
-            payload = self._wrap_trace(frame_type, payload)
             handle = _PendingReply(self._alloc_id())
             self._pending[handle.request_id] = handle
             sock = self._sock
-        frame = wire.encode_mux_frame(
-            frame_type, handle.request_id, payload, self.max_frame
-        )
+        frame = wire.encode_frame(frame_type, handle.request_id, payload, self.max_frame)
         try:
             with self._send_lock:
                 sock.sendall(frame)
@@ -646,6 +546,10 @@ class RemoteServerProxy:
                 if frame is None:
                     return
                 reply_type, request_id, payload = frame
+                if request_id == 0 and reply_type == wire.R_ERROR:
+                    # Connection-level answer (e.g. an oversized frame):
+                    # the server hangs up after it.
+                    raise wire.decode_error(payload)
                 handle: _PendingReply | None
                 with self._lock:
                     if self._sock is not sock:
@@ -675,7 +579,7 @@ class RemoteServerProxy:
                     self._drop(reason=exc)
 
     def _read_routed_frame(self, sock: socket.socket):
-        """One v2 frame, tolerating idle-timeout ticks with nothing pending.
+        """One frame, tolerating idle-timeout ticks with nothing pending.
 
         Returns ``None`` when the connection was dropped while idle; lets
         the timeout propagate when requests are waiting (that is a real
@@ -706,11 +610,8 @@ class RemoteServerProxy:
             started = True
             return b"".join(parts)
 
-        frame_type, request_id, payload = wire.read_frame_mux(recv, self.max_frame)
-        self.frames_received += 1
-        self.max_reply_frame_bytes = max(
-            self.max_reply_frame_bytes, wire.MUX_FRAME_HEADER.size + len(payload)
-        )
+        frame_type, request_id, payload = wire.read_frame(recv, self.max_frame)
+        self._note_frame(payload)
         return frame_type, request_id, payload
 
     # ------------------------------------------------------------------
@@ -718,29 +619,67 @@ class RemoteServerProxy:
     # ------------------------------------------------------------------
     def _call(self, frame_type: int, payload: bytes, expect: int) -> bytes:
         """One request/reply exchange with typed-error and outage mapping."""
-        handle = self._submit(frame_type, payload)
-        if handle is not None:
-            return self._finish_single(handle, expect)
-        with self._lock:
-            self._ensure_connected()
-            try:
-                reply_type, reply = self._roundtrip(frame_type, payload)
-            except (ConnectionError, socket.timeout, OSError) as exc:
-                # The connection died mid-request: reconnect on the *next*
-                # call; this one reports an outage so failover runs.
-                self._drop(reason=exc)
-                raise CloudUnavailableError(
-                    f"connection to {self.address_spec} dropped: {exc}"
-                ) from exc
-            if reply_type == wire.R_ERROR:
-                raise wire.decode_error(reply)
-            if reply_type != expect:
-                self._drop()
+        return self._finish_single(self._submit(frame_type, payload), expect)
+
+    def _stream(self, frame_type, request, item_frame, decode_item, end_frame,
+                decode_end, weigh, noun):
+        """Yield each decoded ``item_frame`` of one streamed request.
+
+        The stream ends with ``end_frame``, whose count must equal the
+        sum of ``weigh(item)`` over what was streamed.  Stream frames are
+        routed by correlation id, so they interleave with other requests;
+        abandoning the generator early parks the id on a discard list so
+        the tail of the stream is swallowed — the connection stays usable.
+        """
+        handle = self._submit(frame_type, request)
+        streamed = 0
+        terminal = False
+        try:
+            while True:
+                reply_type, payload = self._await_reply(handle)
+                if reply_type == item_frame:
+                    try:
+                        item = decode_item(payload)
+                    except ProtocolError:
+                        # Malformed frame: the server-side stream state is
+                        # unknowable — kill the connection, not just the
+                        # request.
+                        terminal = True
+                        with self._lock:
+                            self._drop(reason=f"malformed frame in a {noun} stream")
+                        raise
+                    streamed += weigh(item)
+                    yield item
+                    continue
+                terminal = True
+                if reply_type == end_frame:
+                    total = decode_end(payload)
+                    if total != streamed:
+                        raise ProtocolError(
+                            f"{self.address_spec} streamed {streamed} "
+                            f"{noun} but announced {total}"
+                        )
+                    return
+                if reply_type == wire.R_ERROR:
+                    raise wire.decode_error(payload)  # in sync: the server answered
+                with self._lock:
+                    self._drop(reason=f"unexpected frame 0x{reply_type:02x}")
                 raise ProtocolError(
-                    f"{self.address_spec} answered 0x{frame_type:02x} with "
-                    f"unexpected frame 0x{reply_type:02x}"
+                    f"{self.address_spec} sent unexpected frame "
+                    f"0x{reply_type:02x} inside a {noun} stream"
                 )
-            return reply
+        except CloudUnavailableError:
+            terminal = True  # the connection is already gone
+            raise
+        finally:
+            with self._lock:
+                still_registered = (
+                    self._pending.pop(handle.request_id, None) is not None
+                )
+                if still_registered and not terminal and self._sock is not None:
+                    # Abandoned mid-stream: remaining frames for this id
+                    # must be swallowed, not treated as unsolicited.
+                    self._discard.add(handle.request_id)
 
     def ping(self) -> bool:
         """Cheap liveness probe (connects if needed).
@@ -752,25 +691,10 @@ class RemoteServerProxy:
         the operator debugging the network instead of their secret.
         """
         try:
-            with self._lock:
-                self._ensure_connected()
-                mux_live = self._version >= 2
-                if not mux_live:
-                    reply_type, payload = self._roundtrip(
-                        wire.T_PING, wire.encode_ping(self._advertise)
-                    )
-                    if reply_type != wire.R_PONG:
-                        self._drop()
-                        return False
-                    wire.decode_pong(payload)
-                    return True
-            # Mux connection: the probe flows through the reader thread
-            # like any other request (the connection lock is not held
-            # while waiting, so concurrent requests keep moving).
-            reply = self._call(
-                wire.T_PING, wire.encode_ping(self._advertise), wire.R_PONG
-            )
-            wire.decode_pong(reply)
+            # The probe flows through the reader thread like any other
+            # request (the connection lock is not held while waiting, so
+            # concurrent requests keep moving).
+            wire.decode_pong(self._call(wire.T_PING, wire.encode_ping(), wire.R_PONG))
             return True
         except AuthError:
             with self._lock:
@@ -808,26 +732,17 @@ class RemoteServerProxy:
     def upload_shares_async(self, user_id: str, uploads: list[ShareUpload]):
         """Pipelined upload: send now, return an ack handle to wait on.
 
-        On a mux connection the batch goes on the wire immediately and
-        ``handle.result()`` blocks until the server's :data:`~repro.net.
-        wire.R_OK` (re-raising any typed error, mapping transport death
-        to :class:`~repro.errors.CloudUnavailableError`).  Keeping a
-        small window of unacked batches in flight removes the
-        round-trip-per-batch stall from streaming upload windows.  On a
-        serial connection this degrades to a synchronous upload that has
-        already completed by the time the handle is returned.
+        The batch goes on the wire immediately and ``handle.result()``
+        blocks until the server's :data:`~repro.net.wire.R_OK`
+        (re-raising any typed error, mapping transport death to
+        :class:`~repro.errors.CloudUnavailableError`).  Keeping a small
+        window of unacked batches in flight removes the
+        round-trip-per-batch stall from streaming upload windows.
         """
-        payload = wire.encode_upload_shares(user_id, uploads)
-        handle = self._submit(wire.T_UPLOAD_SHARES, payload)
-        if handle is None:
-            self._call_serial_ok(wire.T_UPLOAD_SHARES, payload)
-            return _CompletedAck()
-        return _MuxAck(self, handle)
-
-    def _call_serial_ok(self, frame_type: int, payload: bytes) -> None:
-        # _submit already proved the connection is serial; _call will take
-        # the serial branch (mux connections never downgrade mid-life).
-        self._call(frame_type, payload, wire.R_OK)
+        handle = self._submit(
+            wire.T_UPLOAD_SHARES, wire.encode_upload_shares(user_id, uploads)
+        )
+        return _UploadAck(self, handle)
 
     def finalize_file(
         self,
@@ -905,12 +820,7 @@ class RemoteServerProxy:
         prices shares against its own frame budget, so ``budget_bytes``
         and ``cost`` are rejected here rather than silently ignored.
 
-        Mux connections interleave this stream with other requests (its
-        frames are routed by correlation id); abandoning the generator
-        early just parks the id on a discard list so the tail of the
-        stream is swallowed — the connection stays usable.  Serial
-        connections hold the lock across yields, and abandonment drops
-        the connection (unread batches would desynchronise it).
+        The stream interleaves with other requests; see :meth:`_stream`.
         """
         if budget_bytes is not None or cost is not None:
             raise ParameterError(
@@ -918,108 +828,12 @@ class RemoteServerProxy:
                 "budget; budget_bytes/cost cannot be set through a proxy"
             )
         self._reject_local_owner(owner)
-        request = wire.encode_fetch_shares(fingerprints)
-        handle = self._submit(wire.T_FETCH_SHARES, request)
-        if handle is None:
-            yield from self._iter_share_batches_serial(request)
-            return
-        streamed = 0
-        terminal = False
-        try:
-            while True:
-                reply_type, payload = self._await_reply(handle)
-                if reply_type == wire.R_SHARE_BATCH:
-                    try:
-                        batch = wire.decode_share_batch(payload)
-                    except ProtocolError:
-                        # Malformed frame: the server-side stream state is
-                        # unknowable — kill the connection, not just the
-                        # request.
-                        terminal = True
-                        with self._lock:
-                            self._drop(reason="malformed share batch")
-                        raise
-                    streamed += len(batch)
-                    yield batch
-                    continue
-                if reply_type == wire.R_SHARES_END:
-                    terminal = True
-                    total = wire.decode_shares_end(payload)
-                    if total != streamed:
-                        raise ProtocolError(
-                            f"{self.address_spec} streamed {streamed} "
-                            f"shares but announced {total}"
-                        )
-                    return
-                if reply_type == wire.R_ERROR:
-                    terminal = True  # in sync: the server answered
-                    raise wire.decode_error(payload)
-                terminal = True
-                with self._lock:
-                    self._drop(reason=f"unexpected frame 0x{reply_type:02x}")
-                raise ProtocolError(
-                    f"{self.address_spec} sent unexpected frame "
-                    f"0x{reply_type:02x} inside a share stream"
-                )
-        except CloudUnavailableError:
-            terminal = True  # the connection is already gone
-            raise
-        finally:
-            with self._lock:
-                still_registered = (
-                    self._pending.pop(handle.request_id, None) is not None
-                )
-                if still_registered and not terminal and self._sock is not None:
-                    # Abandoned mid-stream: remaining frames for this id
-                    # must be swallowed, not treated as unsolicited.
-                    self._discard.add(handle.request_id)
-
-    def _iter_share_batches_serial(self, request: bytes):
-        """The v1 path: stream under the connection lock, drop on abandon."""
-        with self._lock:
-            self._ensure_connected()
-            sock = self._sock
-            finished = False
-            try:
-                sock.sendall(
-                    wire.encode_frame(wire.T_FETCH_SHARES, request, self.max_frame)
-                )
-                streamed = 0
-                while True:
-                    reply_type, payload = self._read_reply(sock)
-                    if reply_type == wire.R_SHARE_BATCH:
-                        batch = wire.decode_share_batch(payload)
-                        streamed += len(batch)
-                        yield batch
-                        continue
-                    if reply_type == wire.R_SHARES_END:
-                        total = wire.decode_shares_end(payload)
-                        if total != streamed:
-                            raise ProtocolError(
-                                f"{self.address_spec} streamed {streamed} "
-                                f"shares but announced {total}"
-                            )
-                        finished = True
-                        return
-                    if reply_type == wire.R_ERROR:
-                        finished = True  # in sync: the server answered
-                        raise wire.decode_error(payload)
-                    raise ProtocolError(
-                        f"{self.address_spec} sent unexpected frame "
-                        f"0x{reply_type:02x} inside a share stream"
-                    )
-            except (ConnectionError, socket.timeout, OSError) as exc:
-                finished = True
-                self._drop(reason=exc)
-                raise CloudUnavailableError(
-                    f"connection to {self.address_spec} dropped mid-fetch: {exc}"
-                ) from exc
-            finally:
-                # Early abandonment (GeneratorExit) or a mid-stream decode
-                # error leaves reply frames buffered on the socket; drop it
-                # so the next request cannot read them as its own reply.
-                if not finished:
-                    self._drop()
+        yield from self._stream(
+            wire.T_FETCH_SHARES, wire.encode_fetch_shares(fingerprints),
+            wire.R_SHARE_BATCH, wire.decode_share_batch,
+            wire.R_SHARES_END, wire.decode_shares_end,
+            weigh=len, noun="shares",
+        )
 
     def delete_file(self, user_id: str, lookup_key: bytes) -> int:
         reply = self._call(
@@ -1086,102 +900,14 @@ class RemoteServerProxy:
         Yields ``(server_id, shares)`` with the shares in sequence order;
         the gateway terminates the stream with a shard count that must
         match what was streamed.  Same interleaving/abandonment rules as
-        :meth:`iter_share_batches`: mux connections park an abandoned
-        stream's id on the discard list, serial connections drop.
+        :meth:`iter_share_batches`.
         """
-        request = wire.encode_gw_window(user_id, lookup_key, window_index)
-        handle = self._submit(wire.T_GW_WINDOW, request)
-        if handle is None:
-            yield from self._iter_window_shards_serial(request)
-            return
-        streamed = 0
-        terminal = False
-        try:
-            while True:
-                reply_type, payload = self._await_reply(handle)
-                if reply_type == wire.R_GW_SHARD:
-                    try:
-                        shard = wire.decode_gw_shard(payload)
-                    except ProtocolError:
-                        terminal = True
-                        with self._lock:
-                            self._drop(reason="malformed gateway shard")
-                        raise
-                    streamed += 1
-                    yield shard
-                    continue
-                if reply_type == wire.R_GW_WINDOW_END:
-                    terminal = True
-                    total = wire.decode_gw_window_end(payload)
-                    if total != streamed:
-                        raise ProtocolError(
-                            f"{self.address_spec} streamed {streamed} "
-                            f"shards but announced {total}"
-                        )
-                    return
-                if reply_type == wire.R_ERROR:
-                    terminal = True  # in sync: the gateway answered
-                    raise wire.decode_error(payload)
-                terminal = True
-                with self._lock:
-                    self._drop(reason=f"unexpected frame 0x{reply_type:02x}")
-                raise ProtocolError(
-                    f"{self.address_spec} sent unexpected frame "
-                    f"0x{reply_type:02x} inside a shard stream"
-                )
-        except CloudUnavailableError:
-            terminal = True  # the connection is already gone
-            raise
-        finally:
-            with self._lock:
-                still_registered = (
-                    self._pending.pop(handle.request_id, None) is not None
-                )
-                if still_registered and not terminal and self._sock is not None:
-                    self._discard.add(handle.request_id)
-
-    def _iter_window_shards_serial(self, request: bytes):
-        """The v1 path: stream under the connection lock, drop on abandon."""
-        with self._lock:
-            self._ensure_connected()
-            sock = self._sock
-            finished = False
-            try:
-                sock.sendall(
-                    wire.encode_frame(wire.T_GW_WINDOW, request, self.max_frame)
-                )
-                streamed = 0
-                while True:
-                    reply_type, payload = self._read_reply(sock)
-                    if reply_type == wire.R_GW_SHARD:
-                        streamed += 1
-                        yield wire.decode_gw_shard(payload)
-                        continue
-                    if reply_type == wire.R_GW_WINDOW_END:
-                        total = wire.decode_gw_window_end(payload)
-                        if total != streamed:
-                            raise ProtocolError(
-                                f"{self.address_spec} streamed {streamed} "
-                                f"shards but announced {total}"
-                            )
-                        finished = True
-                        return
-                    if reply_type == wire.R_ERROR:
-                        finished = True  # in sync: the gateway answered
-                        raise wire.decode_error(payload)
-                    raise ProtocolError(
-                        f"{self.address_spec} sent unexpected frame "
-                        f"0x{reply_type:02x} inside a shard stream"
-                    )
-            except (ConnectionError, socket.timeout, OSError) as exc:
-                finished = True
-                self._drop(reason=exc)
-                raise CloudUnavailableError(
-                    f"connection to {self.address_spec} dropped mid-fetch: {exc}"
-                ) from exc
-            finally:
-                if not finished:
-                    self._drop()
+        yield from self._stream(
+            wire.T_GW_WINDOW, wire.encode_gw_window(user_id, lookup_key, window_index),
+            wire.R_GW_SHARD, wire.decode_gw_shard,
+            wire.R_GW_WINDOW_END, wire.decode_gw_window_end,
+            weigh=lambda _shard: 1, noun="shards",
+        )
 
     @property
     def stats(self) -> DedupStats:

@@ -16,12 +16,11 @@ executor.  Both front-ends answer frames through the same
 :class:`~repro.net.dispatch.FrameDispatcher`, so protocol behaviour —
 auth, tenancy, rate limits, streamed fetches — is identical.
 
-This server speaks both wire framings: connections start in v1 and may
-negotiate the request-id-tagged v2 framing via PING/PONG (see
-:mod:`repro.net.wire`).  Requests are still served strictly in order —
-one request in flight per connection — which is a degenerate but valid
-mux schedule: every reply simply echoes the id of the request it answers,
-so a mux-mode client works unchanged against this server.
+Requests on one connection are served strictly in order — one request
+in flight per connection — which is a degenerate but valid schedule of
+the request-id framing (see :mod:`repro.net.wire`): every reply simply
+echoes the id of the request it answers, so the multiplexing client
+works unchanged against this server.
 
 Error discipline: a :class:`~repro.errors.ReproError` is a *protocol
 answer* (typed :data:`~repro.net.wire.R_ERROR` frame, connection stays
@@ -265,32 +264,25 @@ class CDStoreTCPServer:
         try:
             while not self._stopped.is_set():
                 try:
-                    frame_type, request_id, payload = wire.read_frame_v(
-                        lambda n: recv_exact(conn, n), state.version, self.max_frame
+                    frame_type, request_id, payload = wire.read_frame(
+                        lambda n: recv_exact(conn, n), self.max_frame
                     )
                 except (ConnectionError, OSError):
                     return  # client went away between requests
                 except ReproError as exc:
                     # Bad magic / oversized length: the stream cannot be
                     # resynchronised — answer typed, then hang up.
-                    conn.sendall(self._error_frame(state, 0, exc))
+                    conn.sendall(wire.encode_error_frame(0, exc))
                     return
                 try:
                     for reply_type, reply in self._dispatcher.dispatch(
                         state, frame_type, payload
                     ):
-                        conn.sendall(
-                            wire.encode_frame_v(
-                                state.version, reply_type, request_id, reply
-                            )
-                        )
-                    # The framing upgrade (if the frame was a PING that
-                    # negotiated v2) applies only after the PONG is out.
-                    state.apply_negotiation()
+                        conn.sendall(wire.encode_frame(reply_type, request_id, reply))
                 except ReproError as exc:
                     # A typed, *answerable* failure: report it in-band and
                     # keep serving this connection.
-                    conn.sendall(self._error_frame(state, request_id, exc))
+                    conn.sendall(wire.encode_error_frame(request_id, exc))
                 except (ConnectionError, OSError):
                     return
         except Exception:  # noqa: BLE001 - server bug: drop the connection
@@ -313,8 +305,3 @@ class CDStoreTCPServer:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-
-    def _error_frame(self, state: ConnState, request_id: int, exc: ReproError) -> bytes:
-        return wire.encode_frame_v(
-            state.version, wire.R_ERROR, request_id, wire.encode_error(exc)
-        )

@@ -56,10 +56,9 @@ __all__ = [
 #: Trace ids are exactly this many random bytes (hex-rendered in spans).
 TRACE_ID_SIZE = 16
 
-#: The "no active trace" id: all zeroes.  It still crosses the wire when
-#: the trace extension is negotiated (the trailer is fixed-size), but
-#: recorders drop spans carrying it — untraced requests cost no ring
-#: space.
+#: The "no active trace" id: all zeroes.  It still crosses the wire (every
+#: non-control request carries the fixed-size trailer), but recorders
+#: drop spans carrying it — untraced requests cost no ring space.
 ZERO_TRACE_ID = b"\x00" * TRACE_ID_SIZE
 
 _SLOW_REQUESTS = REGISTRY.counter(

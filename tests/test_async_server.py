@@ -27,7 +27,8 @@ from repro.errors import (
     ProtocolError,
     ServerOverloadedError,
 )
-from repro.net import AsyncCDStoreTCPServer, RemoteServerProxy, wire
+from repro.net import AsyncCDStoreTCPServer, CDStoreTCPServer, RemoteServerProxy, wire
+from repro.obs.trace import ZERO_TRACE_ID
 from repro.server.messages import ShareMeta, ShareUpload
 from repro.server.server import CDStoreServer
 
@@ -144,17 +145,17 @@ def seed_shares(server, count: int, size: int, user="alice") -> list[bytes]:
 # ---------------------------------------------------------------------------
 
 
-def connect_raw(tcp, advertise: int = wire.WIRE_VERSION, timeout: float = 10.0):
-    """Dial the server, run the PING handshake, return (sock, version)."""
+def connect_raw(tcp, timeout: float = 10.0):
+    """Dial the server and run the PING handshake; return the socket."""
     sock = socket.create_connection(tcp.address, timeout=timeout)
-    sock.sendall(wire.encode_frame(wire.T_PING, wire.encode_ping(advertise)))
-    frame_type, _rid, pong = read_raw_frame(sock, version=1)
-    assert frame_type == wire.R_PONG
-    version, _server_id, _flags = wire.decode_pong(pong)
-    return sock, version
+    sock.sendall(wire.encode_frame(wire.T_PING, 1, wire.encode_ping()))
+    frame_type, rid, pong = read_raw_frame(sock)
+    assert (frame_type, rid) == (wire.R_PONG, 1)
+    assert wire.decode_pong(pong)[0] == wire.WIRE_VERSION
+    return sock
 
 
-def read_raw_frame(sock, version: int):
+def read_raw_frame(sock):
     def recv_exact(n: int) -> bytes:
         buf = b""
         while len(buf) < n:
@@ -164,7 +165,13 @@ def read_raw_frame(sock, version: int):
             buf += chunk
         return buf
 
-    return wire.read_frame_v(recv_exact, version)
+    return wire.read_frame(recv_exact)
+
+
+def raw_request(frame_type: int, request_id: int, payload: bytes = b"") -> bytes:
+    """An API request frame as the proxy sends it: untraced trailer included."""
+    trailer = wire.encode_trace_context(ZERO_TRACE_ID, 0)
+    return wire.encode_frame(frame_type, request_id, payload + trailer)
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +194,56 @@ class TestAsyncCrossTransport:
         assert local.download("/backup/blob") == data
         local.close()
 
-    def test_serial_v1_proxy_interoperates(self, aserved):
-        """A mux=False proxy speaks classic v1 framing; the async server
-        serves it strictly serially but otherwise identically."""
-        _servers, tcps, _proxies = aserved
-        proxies = [proxy_for(t, server_id=i, mux=False)
-                   for i, t in enumerate(tcps)]
-        try:
-            data = payload(60_000, seed=11)
-            client = make_client(proxies, user="bob")
-            client.upload("/f", data)
-            client.flush()
-            assert client.download("/f") == data
-            client.close()
-        finally:
-            for proxy in proxies:
-                proxy.close()
-
     def test_typed_errors_cross_the_wire(self, aserved):
         from repro.errors import NotFoundError
 
         _servers, _tcps, proxies = aserved
         with pytest.raises(NotFoundError):
             proxies[0].get_file_entry("alice", b"\x00" * 32)
+
+
+# ---------------------------------------------------------------------------
+# handshake: one wire version, no negotiation
+# ---------------------------------------------------------------------------
+
+
+class TestHandshake:
+    @pytest.mark.parametrize("front_end", [CDStoreTCPServer, AsyncCDStoreTCPServer])
+    def test_ping_with_another_wire_version_is_refused(self, front_end):
+        """Neither front-end downgrades: a PING advertising version 1 is
+        answered with a typed ProtocolError under its own request id."""
+        with front_end(make_servers(1)[0]) as tcp:
+            sock = socket.create_connection(tcp.address, timeout=10)
+            try:
+                sock.sendall(wire.encode_frame(wire.T_PING, 1, wire.encode_ping(1)))
+                frame_type, rid, body = read_raw_frame(sock)
+                assert (frame_type, rid) == (wire.R_ERROR, 1)
+                exc = wire.decode_error(body)
+                assert isinstance(exc, ProtocolError)
+                assert "version 1" in str(exc)
+            finally:
+                sock.close()
+
+    def test_proxy_refuses_a_pong_of_another_version(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_with_v1_pong() -> None:
+            conn, _addr = listener.accept()
+            with conn:
+                _type, rid, _payload = read_raw_frame(conn)
+                conn.sendall(wire.encode_frame(
+                    wire.R_PONG, rid, wire.encode_pong(0, version=1)))
+
+        peer = threading.Thread(target=answer_with_v1_pong)
+        peer.start()
+        proxy = RemoteServerProxy(listener.getsockname()[:2], server_id=0)
+        try:
+            with pytest.raises(ProtocolError, match="version 1"):
+                proxy.list_files("alice")
+        finally:
+            proxy.close()
+            peer.join(timeout=10)
+            listener.close()
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +327,14 @@ class TestMuxSemantics:
         violation: typed R_ERROR, then the server hangs up."""
         server = GatedServer(make_servers(1)[0])
         with AsyncCDStoreTCPServer(server, executor_size=4) as tcp:
-            sock, version = connect_raw(tcp)
-            assert version == 2
+            sock = connect_raw(tcp)
             request = wire.encode_user("alice")
             try:
-                sock.sendall(
-                    wire.encode_mux_frame(wire.T_LIST_FILES, 7, request))
+                sock.sendall(raw_request(wire.T_LIST_FILES, 7, request))
                 assert server.entered.wait(timeout=10)
-                sock.sendall(
-                    wire.encode_mux_frame(wire.T_LIST_FILES, 7, request))
+                sock.sendall(raw_request(wire.T_LIST_FILES, 7, request))
                 while True:
-                    frame_type, rid, body = read_raw_frame(sock, version=2)
+                    frame_type, rid, body = read_raw_frame(sock)
                     if frame_type == wire.R_ERROR:
                         break
                 assert rid == 7
@@ -315,7 +346,7 @@ class TestMuxSemantics:
                 sock.settimeout(10)
                 with pytest.raises(ConnectionError):
                     while True:
-                        read_raw_frame(sock, version=2)
+                        read_raw_frame(sock)
             finally:
                 server.gate.set()
                 sock.close()
@@ -323,12 +354,11 @@ class TestMuxSemantics:
     def test_distinct_request_ids_are_fine_back_to_back(self):
         server = make_servers(1)[0]
         with AsyncCDStoreTCPServer(server) as tcp:
-            sock, version = connect_raw(tcp)
-            assert version == 2
+            sock = connect_raw(tcp)
             try:
                 for rid in (1, 2, 1):  # reuse *after* completion is legal
-                    sock.sendall(wire.encode_mux_frame(wire.T_STATS, rid))
-                    frame_type, got_rid, body = read_raw_frame(sock, version=2)
+                    sock.sendall(raw_request(wire.T_STATS, rid))
+                    frame_type, got_rid, body = read_raw_frame(sock)
                     assert frame_type == wire.R_STATS
                     assert got_rid == rid
             finally:
@@ -380,6 +410,21 @@ class TestOverloadAndBackpressure:
                 server.gate.set()
                 proxy.close()
 
+    def test_connection_cap_sheds_with_typed_error(self):
+        """Past max_connections a new connection gets one connection-level
+        R_ERROR (request id 0) that the proxy raises from its handshake;
+        the admitted connection keeps working."""
+        with AsyncCDStoreTCPServer(make_servers(1)[0], max_connections=1) as tcp:
+            first, second = proxy_for(tcp), proxy_for(tcp)
+            try:
+                assert first.ping()
+                with pytest.raises(ServerOverloadedError):
+                    second.list_files("alice")
+                assert first.list_files("alice") == []
+            finally:
+                first.close()
+                second.close()
+
     def test_slow_reader_is_evicted(self):
         """A client that stops reading a streamed fetch past the grace
         period is disconnected instead of pinning an executor slot."""
@@ -391,13 +436,10 @@ class TestOverloadAndBackpressure:
             write_queue_cap=65_536,
             slow_reader_grace=0.5,
         ) as tcp:
-            sock, version = connect_raw(tcp)
+            sock = connect_raw(tcp)
             try:
                 sock.sendall(
-                    wire.encode_frame_v(
-                        version, wire.T_FETCH_SHARES, 1,
-                        wire.encode_fetch_shares(fps),
-                    )
+                    raw_request(wire.T_FETCH_SHARES, 1, wire.encode_fetch_shares(fps))
                 )
                 # Read nothing: the write queue and kernel buffers fill and
                 # the grace expires (16 MB cannot hide in socket buffers).
@@ -408,7 +450,7 @@ class TestOverloadAndBackpressure:
                 frames = 0
                 with pytest.raises((ConnectionError, OSError)) as excinfo:
                     while True:
-                        read_raw_frame(sock, version=version)
+                        read_raw_frame(sock)
                         frames += 1
                 assert not isinstance(excinfo.value, TimeoutError)
                 assert frames < 256  # the stream was cut short

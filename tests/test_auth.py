@@ -116,8 +116,11 @@ def store_file(proxy, user: str, name: bytes, data: bytes) -> bytes:
 
 
 def _call(sock: socket.socket, frame_type: int, payload: bytes = b""):
-    sock.sendall(wire.encode_frame(frame_type, payload))
-    return wire.read_frame(lambda n: recv_exact(sock, n), wire.MAX_FRAME_BYTES)
+    """One control-frame exchange on a raw socket: ``(reply_type, payload)``."""
+    sock.sendall(wire.encode_frame(frame_type, 1, payload))
+    reply_type, request_id, reply = wire.read_frame(lambda n: recv_exact(sock, n))
+    assert request_id == 1
+    return reply_type, reply
 
 
 def _connect(tcp) -> socket.socket:

@@ -187,6 +187,26 @@ def test_pre_config_object_schema_still_loads(tmp_path):
     assert len(config.cloud_specs) == 4
 
 
+def test_mux_true_from_older_files_is_accepted_and_dropped(tmp_path):
+    # Every cdstore.json written before the serial protocol was removed
+    # carries "mux": true.
+    (tmp_path / CONFIG_FILE_NAME).write_text(
+        json.dumps({"n": 2, "k": 1, "salt": "s", "mux": True})
+    )
+    config = ReproConfig.from_file(tmp_path)
+    assert not hasattr(config, "mux")
+    assert "mux" not in config.to_mapping()
+
+
+@pytest.mark.parametrize("value", [False, "yes"])
+def test_mux_other_than_true_names_the_removed_serial_protocol(tmp_path, value):
+    (tmp_path / CONFIG_FILE_NAME).write_text(
+        json.dumps({"n": 2, "k": 1, "mux": value})
+    )
+    with pytest.raises(ParameterError, match="serial .* protocol was removed"):
+        ReproConfig.from_file(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # The deprecated net-client shim is gone; CloudSpec.parse is the one parser
 

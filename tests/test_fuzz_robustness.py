@@ -115,6 +115,20 @@ class TestDeserialisationFuzz:
             pass
 
 
+    @settings(max_examples=80)
+    @given(
+        st.one_of(
+            st.binary(max_size=300),
+            # A valid magic word, so the type/id/length fields get parsed.
+            st.binary(max_size=300).map(lambda b: b"\xcd\x5e" + b),
+        )
+    )
+    def test_decode_frames(self, blob):
+        from repro.net.wire import decode_frames
+
+        _fuzz(lambda b: decode_frames(b, max_frame=256), blob)
+
+
 class TestMutationFuzz:
     """Valid structures with injected bit flips must be detected."""
 

@@ -482,11 +482,14 @@ class TestTraceE2E:
 
 
 class TestTraceInterop:
-    """Old peers keep working and simply record no server-side spans."""
+    """Peers that trace nothing keep working and leave server rings empty."""
 
-    def run_backup_restore(self, **proxy_kwargs):
+    def run_backup_restore(self, front_end_trace=True, **proxy_kwargs):
         servers = make_servers(4)
-        tcps = [CDStoreTCPServer(server).start() for server in servers]
+        tcps = [
+            CDStoreTCPServer(server, trace=front_end_trace).start()
+            for server in servers
+        ]
         proxies = [
             RemoteServerProxy(
                 f"tcp://{t.address[0]}:{t.address[1]}",
@@ -512,12 +515,14 @@ class TestTraceInterop:
             for server in servers:
                 server.close()
 
-    def test_v1_serial_peer_has_no_trace_extension(self):
-        client, rings = self.run_backup_restore(mux=False)
-        assert len(client.spans) > 0  # client-side tracing still works
+    def test_v2_peer_without_trace_flag_negotiates_it_off(self):
+        """A ``trace=False`` proxy sends the all-zero context in every
+        trailer, so the server records nothing for its requests."""
+        client, rings = self.run_backup_restore(trace=False)
+        assert len(client.spans) > 0
         assert all(len(ring) == 0 for ring in rings)
 
-    def test_v2_peer_without_trace_flag_negotiates_it_off(self):
-        client, rings = self.run_backup_restore(trace=False)
+    def test_front_end_with_tracing_off_ignores_trailer_ids(self):
+        client, rings = self.run_backup_restore(front_end_trace=False)
         assert len(client.spans) > 0
         assert all(len(ring) == 0 for ring in rings)

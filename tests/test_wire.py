@@ -149,20 +149,8 @@ class TestRequestRoundTrips:
         assert wire.decode_rebuild_recipe(blob) == (user, key, entries)
 
     def test_ping_pong(self):
-        assert wire.decode_ping(wire.encode_ping()) == (wire.WIRE_VERSION, 0)
-        assert wire.decode_pong(wire.encode_pong(3)) == (wire.WIRE_VERSION, 3, 0)
-
-    def test_ping_pong_trace_flags(self):
-        # The flags byte only appears when nonzero — a zero-flag PING is
-        # byte-identical to the pre-extension encoding.
-        assert len(wire.encode_ping(2, 0)) == len(wire.encode_ping(2)) == 2
-        assert len(wire.encode_ping(2, wire.FLAG_TRACE)) == 3
-        version, flags = wire.decode_ping(wire.encode_ping(2, wire.FLAG_TRACE))
-        assert (version, flags) == (2, wire.FLAG_TRACE)
-        version, sid, flags = wire.decode_pong(
-            wire.encode_pong(7, 2, wire.FLAG_TRACE)
-        )
-        assert (version, sid, flags) == (2, 7, wire.FLAG_TRACE)
+        assert wire.decode_ping(wire.encode_ping()) == wire.WIRE_VERSION
+        assert wire.decode_pong(wire.encode_pong(3)) == (wire.WIRE_VERSION, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -254,35 +242,41 @@ class TestErrorFrames:
 
 
 class TestFraming:
-    @given(frame_type=st.integers(0, 255), payload=st.binary(max_size=512))
-    def test_frame_round_trip(self, frame_type, payload):
-        blob = wire.encode_frame(frame_type, payload)
-        assert wire.decode_frames(blob) == [(frame_type, payload)]
+    @given(
+        frame_type=st.integers(0, 255),
+        request_id=st.integers(0, wire.REQUEST_ID_MAX),
+        payload=st.binary(max_size=512),
+    )
+    def test_frame_round_trip(self, frame_type, request_id, payload):
+        blob = wire.encode_frame(frame_type, request_id, payload)
+        assert wire.decode_frames(blob) == [(frame_type, request_id, payload)]
 
     @given(frames=st.lists(
-        st.tuples(st.integers(0, 255), st.binary(max_size=64)), max_size=5))
+        st.tuples(st.integers(0, 255), st.integers(0, wire.REQUEST_ID_MAX),
+                  st.binary(max_size=64)),
+        max_size=5))
     def test_frame_stream_round_trip(self, frames):
-        blob = b"".join(wire.encode_frame(t, p) for t, p in frames)
+        blob = b"".join(wire.encode_frame(t, r, p) for t, r, p in frames)
         assert wire.decode_frames(blob) == frames
 
     def test_truncated_stream_rejected(self):
-        blob = wire.encode_frame(wire.T_PING, wire.encode_ping())
+        blob = wire.encode_frame(wire.T_PING, 1, wire.encode_ping())
         with pytest.raises(ProtocolError):
             wire.decode_frames(blob[:-1])
 
     def test_bad_magic_rejected(self):
-        blob = wire.encode_frame(wire.T_PING, b"")
+        blob = wire.encode_frame(wire.T_PING, 1, b"")
         with pytest.raises(ProtocolError, match="magic"):
             wire.decode_frames(b"\x00\x00" + blob[2:])
 
     def test_oversized_incoming_frame_rejected_before_allocation(self):
-        header = wire.FRAME_HEADER.pack(0xCD5E, wire.T_PING, 2**31)
+        header = wire.FRAME_HEADER.pack(0xCD5E, wire.T_PING, 1, 2**31)
         with pytest.raises(ProtocolError, match="cap"):
             wire.decode_frames(header + b"x" * 16)
 
     def test_oversized_outgoing_frame_rejected(self):
         with pytest.raises(ProtocolError, match="cap"):
-            wire.encode_frame(wire.R_OK, b"x" * 32, max_frame=16)
+            wire.encode_frame(wire.R_OK, 1, b"x" * 32, max_frame=16)
 
     @given(garbage=st.binary(min_size=1, max_size=64))
     @settings(max_examples=50)
@@ -323,7 +317,7 @@ class TestFraming:
 
 
 # ---------------------------------------------------------------------------
-# v2 (mux) framing + version negotiation
+# request-id framing over a blocking reader
 # ---------------------------------------------------------------------------
 
 
@@ -344,9 +338,8 @@ def exact_reader(blob: bytes):
 
 class TestMuxFraming:
     def test_header_sizes(self):
-        # v2 inserts exactly one u32 request-id word after the type byte.
-        assert wire.FRAME_HEADER.size == 7
-        assert wire.MUX_FRAME_HEADER.size == 11
+        # magic u16 | type u8 | request id u32 | length u32.
+        assert wire.FRAME_HEADER.size == 11
 
     @given(
         frame_type=st.integers(0, 255),
@@ -354,52 +347,37 @@ class TestMuxFraming:
         payload=st.binary(max_size=512),
     )
     def test_mux_frame_round_trip(self, frame_type, request_id, payload):
-        blob = wire.encode_mux_frame(frame_type, request_id, payload)
-        assert wire.read_frame_mux(exact_reader(blob)) == (
+        blob = wire.encode_frame(frame_type, request_id, payload)
+        assert wire.read_frame(exact_reader(blob)) == (
             frame_type, request_id, payload,
-        )
-
-    @given(request_id=st.integers(0, wire.REQUEST_ID_MAX))
-    def test_versioned_encode_matches_plain_encoders(self, request_id):
-        v1 = wire.encode_frame_v(1, wire.R_OK, request_id, b"x")
-        v2 = wire.encode_frame_v(2, wire.R_OK, request_id, b"x")
-        assert v1 == wire.encode_frame(wire.R_OK, b"x")  # id dropped on v1
-        assert v2 == wire.encode_mux_frame(wire.R_OK, request_id, b"x")
-        assert wire.read_frame_v(exact_reader(v1), 1) == (wire.R_OK, 0, b"x")
-        assert wire.read_frame_v(exact_reader(v2), 2) == (
-            wire.R_OK, request_id, b"x",
         )
 
     @pytest.mark.parametrize("request_id", [-1, wire.REQUEST_ID_MAX + 1])
     def test_request_id_outside_u32_rejected(self, request_id):
         with pytest.raises(ProtocolError, match="request id"):
-            wire.encode_mux_frame(wire.T_PING, request_id)
+            wire.encode_frame(wire.T_PING, request_id)
 
     def test_mux_bad_magic_rejected(self):
-        blob = wire.encode_mux_frame(wire.T_PING, 1, b"")
+        blob = wire.encode_frame(wire.T_PING, 1, b"")
         with pytest.raises(ProtocolError, match="magic"):
-            wire.read_frame_mux(exact_reader(b"\x00\x00" + blob[2:]))
+            wire.read_frame(exact_reader(b"\x00\x00" + blob[2:]))
 
     def test_mux_oversized_length_rejected_before_allocation(self):
-        header = wire.MUX_FRAME_HEADER.pack(0xCD5E, wire.T_PING, 1, 2**31)
+        header = wire.FRAME_HEADER.pack(0xCD5E, wire.T_PING, 1, 2**31)
         with pytest.raises(ProtocolError, match="cap"):
-            wire.read_frame_mux(exact_reader(header + b"x" * 16))
+            wire.read_frame(exact_reader(header + b"x" * 16))
 
     def test_mux_truncated_frame_rejected(self):
-        blob = wire.encode_mux_frame(wire.T_PING, 1, b"abc")
+        blob = wire.encode_frame(wire.T_PING, 1, b"abc")
         with pytest.raises(ConnectionError):
-            wire.read_frame_mux(exact_reader(blob[:-1]))
-
-    @given(peer=st.integers(0, 2**16 - 1))
-    def test_negotiation_clamps_both_directions(self, peer):
-        agreed = wire.negotiate_version(peer)
-        assert 1 <= agreed <= wire.WIRE_VERSION
-        if peer <= 1:
-            assert agreed == 1  # old (or nonsense-zero) peers keep v1
-        if peer >= wire.WIRE_VERSION:
-            assert agreed == wire.WIRE_VERSION
+            wire.read_frame(exact_reader(blob[:-1]))
 
     def test_ping_pong_carry_versions(self):
-        assert wire.decode_ping(wire.encode_ping(1)) == (1, 0)
-        version, server_id, flags = wire.decode_pong(wire.encode_pong(9, version=1))
-        assert (version, server_id, flags) == (1, 9, 0)
+        assert wire.decode_ping(wire.encode_ping(1)) == 1
+        assert wire.decode_pong(wire.encode_pong(9, version=1)) == (1, 9)
+
+    def test_error_frame_answers_its_request_id(self):
+        frame = wire.encode_error_frame(0, ProtocolError("bad magic"))
+        [(frame_type, request_id, payload)] = wire.decode_frames(frame)
+        assert (frame_type, request_id) == (wire.R_ERROR, 0)
+        assert isinstance(wire.decode_error(payload), ProtocolError)
